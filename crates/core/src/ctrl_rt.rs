@@ -198,8 +198,8 @@ impl EdgeCloudSystem {
     /// Route `cluster`'s LC dispatch rounds through an external decision
     /// `source`, falling back to the configured local policy whenever the
     /// source declines, replies malformed, or blows the sim-time
-    /// `deadline`. Returns the proxy's outcome counters. The wrapped
-    /// backend cannot be checkpointed — snapshotting a run with a proxy
+    /// `deadline`. Returns the proxy's outcome counters. The external
+    /// source cannot be checkpointed — snapshotting a run with a proxy
     /// attached fails loudly.
     pub fn attach_lc_proxy(
         &mut self,

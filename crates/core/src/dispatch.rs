@@ -1,8 +1,11 @@
 //! Dispatch stage: per-master LC dispatch rounds, BE forwarding, and the
 //! central BE dispatcher — the ➋/➌ arrows of Fig. 3.
 //!
-//! The stage owns [`DispatchState`] (the policy backends, the central BE
-//! queue, and the incremental candidate-view cache): both the LC and the
+//! The stage owns [`DispatchState`] (the LC and BE lane schedulers, the
+//! central BE queue, and the incremental candidate-view cache). It calls
+//! the two lane traits directly: `LcScheduler::assign_many` plans a
+//! master's round, `BeScheduler::schedule_sized` and
+//! `BeScheduler::feedback` drive the BE loop. Both the LC and the
 //! BE paths read their scheduler views from
 //! `crate::view_cache::CandidateViewCache`, whose single row builder
 //! goes through `CandidateNode::from_observation` — so reservation
@@ -14,21 +17,20 @@ use crate::lifecycle;
 use crate::system::Event;
 use crate::view_cache::{CandidateViewCache, ViewInputs};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 use tango_metrics::{TraceEvent, TraceLane};
 use tango_net::NetworkTopology;
 use tango_par::Pool;
-use tango_sched::{CandidateNode, SchedulerBackend, TypeBatch};
+use tango_sched::{BeScheduler, CandidateNode, LcScheduler, TypeBatch};
 use tango_types::{ClusterId, FxHashSet, NodeId, RequestId, Resources, ServiceId, SimTime};
 
 type Sched<'a> = tango_simcore::engine::Scheduler<'a, Event>;
 
 /// State owned by the dispatch stage.
 pub struct DispatchState {
-    /// Per-cluster LC policy backends, indexed by `ClusterId`.
-    pub(crate) lc: Vec<Box<dyn SchedulerBackend + Send>>,
-    /// The central BE policy backend.
-    pub(crate) be: Box<dyn SchedulerBackend + Send>,
+    /// Per-cluster LC schedulers, indexed by `ClusterId`.
+    pub(crate) lc: Vec<Box<dyn LcScheduler + Send>>,
+    /// The central BE scheduler.
+    pub(crate) be: Box<dyn BeScheduler + Send>,
     /// The geographically central cluster hosting the BE dispatcher.
     pub(crate) central: ClusterId,
     /// The central BE scheduling queue.
@@ -137,10 +139,10 @@ pub(crate) fn on_dispatch(ctx: &mut SystemCtx<'_>, first: ClusterId, sched: &mut
 ///   A conflicting round closes the wave and opens the next one, so
 ///   conflicts are resolved by *ordering*, never by re-planning.
 /// * **Plan (parallel within a wave)** — candidate views are prefetched
-///   sequentially, then each round's `plan_lc` runs on its own backend
-///   over `tango-par`. Disjoint footprints mean no plan can observe
-///   another wave member's writes, so the frozen views equal what strict
-///   sequential execution would have read.
+///   sequentially, then each round's `assign_many` runs on its own
+///   cluster's scheduler over `tango-par`. Disjoint footprints mean no
+///   plan can observe another wave member's writes, so the frozen views
+///   equal what strict sequential execution would have read.
 /// * **Commit (sequential)** — placements, reservations, BE forwarding
 ///   and the round reschedule are applied in pop order, reproducing the
 ///   exact event-push sequence of the pre-batched dispatcher. Golden
@@ -256,7 +258,7 @@ fn dispatch_batch(ctx: &mut SystemCtx<'_>, clusters: &[ClusterId], sched: &mut S
                 .collect();
         }
 
-        // Plan: one backend per round, disjoint `&mut` borrows, cluster-
+        // Plan: one scheduler per round, disjoint `&mut` borrows, cluster-
         // level fan-out. A single planning round keeps the shared pool so
         // its per-type fan-out still parallelizes; with several, each
         // planner runs single-threaded inside the cluster-level fan-out —
@@ -265,7 +267,7 @@ fn dispatch_batch(ctx: &mut SystemCtx<'_>, clusters: &[ClusterId], sched: &mut S
         let planning: Vec<usize> = (i..j).filter(|&k| !rounds[k].batches.is_empty()).collect();
         if let [k] = planning[..] {
             let ci = rounds[k].cluster.index();
-            rounds[k].plans = ctx.dispatch.lc[ci].plan_lc(&rounds[k].batches, ctx.pool);
+            rounds[k].plans = ctx.dispatch.lc[ci].assign_many(&rounds[k].batches, ctx.pool);
         } else if !planning.is_empty() {
             let mut want: Vec<Option<usize>> = vec![None; ctx.dispatch.lc.len()];
             for &k in &planning {
@@ -275,23 +277,23 @@ fn dispatch_batch(ctx: &mut SystemCtx<'_>, clusters: &[ClusterId], sched: &mut S
                 round: usize,
                 batches: Vec<TypeBatch>,
                 plans: Vec<Vec<(RequestId, NodeId)>>,
-                backend: &'b mut Box<dyn SchedulerBackend + Send>,
+                scheduler: &'b mut (dyn LcScheduler + Send),
             }
             let mut jobs: Vec<PlanJob<'_>> = Vec::with_capacity(planning.len());
-            for (ci, backend) in ctx.dispatch.lc.iter_mut().enumerate() {
+            for (ci, scheduler) in ctx.dispatch.lc.iter_mut().enumerate() {
                 if let Some(k) = want[ci] {
                     jobs.push(PlanJob {
                         round: k,
                         batches: std::mem::take(&mut rounds[k].batches),
                         plans: Vec::new(),
-                        backend,
+                        scheduler: scheduler.as_mut(),
                     });
                 }
             }
             ctx.pool.par_chunks_mut(&mut jobs, 1, |_, chunk| {
                 for job in chunk {
                     let inner = Pool::single();
-                    job.plans = job.backend.plan_lc(&job.batches, &inner);
+                    job.plans = job.scheduler.assign_many(&job.batches, &inner);
                 }
             });
             for job in jobs {
@@ -366,50 +368,11 @@ fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mu
         // with local candidates only
         let drained: Vec<RequestId> = ctx.clusters[ci].be_q.drain(..).collect();
         for rid in drained {
-            let Some(req) = ctx.lifecycle.requests.get(&rid) else {
-                continue;
-            };
-            let service = req.service;
-            let demand = req.demand;
-            let payload = ctx.catalog.get(service).payload_kib;
-            let local: Vec<CandidateNode> = {
-                let views = &mut ctx.dispatch.views;
-                let inp = view_inputs!(ctx);
-                let global = views.candidates(&inp, service, ViewScope::BeGlobal);
-                global
-                    .iter()
-                    .filter(|c| c.cluster == cluster)
-                    .cloned()
-                    .collect()
-            };
-            pay_be_feedback(ctx, &demand, &local, now);
-            match ctx.dispatch.be.pick_be_sized(&demand, &local) {
-                Some((node, _)) if ctx.fault.is_down(node) => {
-                    ctx.fault.summary.down_node_dispatches += 1;
-                    ctx.clusters[ci].be_q.push_back(rid);
+            match place_be(ctx, rid, cluster, true, failover_delay, sched) {
+                BePlacement::DownNode | BePlacement::Infeasible => {
+                    ctx.clusters[ci].be_q.push_back(rid)
                 }
-                Some((node, granted)) => {
-                    if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
-                        r.mark_dispatched(node);
-                        // continuous-action policies may grant less than
-                        // the nominal demand; the grant is what the node
-                        // reserves and the pod gets
-                        r.demand = granted;
-                        ctx.lifecycle.reserved.add(node, granted);
-                    }
-                    ctx.dispatch.be_pending_feedback = Some(node);
-                    ctx.emit(now, || TraceEvent::DispatchDecision {
-                        request: rid,
-                        target: node,
-                        lane: TraceLane::Be,
-                    });
-                    let delay = failover_delay
-                        + ctx
-                            .topology
-                            .transfer_time(cluster, cluster_of_node(ctx, node), payload);
-                    sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
-                }
-                None => ctx.clusters[ci].be_q.push_back(rid),
+                BePlacement::Placed | BePlacement::Gone => {}
             }
         }
     } else if ctx.topology.is_reachable(cluster, ctx.dispatch.central) {
@@ -427,13 +390,88 @@ fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mu
     sched.schedule_in(ctx.cfg.dispatch_interval, Event::Dispatch(cluster));
 }
 
-/// Pay the §5.3.1 reward for the previous BE decision.
-pub(crate) fn pay_be_feedback(
+/// What became of one BE placement attempt.
+enum BePlacement {
+    /// Committed: reserved, traced, delivery scheduled.
+    Placed,
+    /// The request left the system before its turn; nothing to place.
+    Gone,
+    /// The policy picked a node believed down; counted, not committed.
+    DownNode,
+    /// Nothing feasible among the candidates (Alg. 3's reschedule path).
+    Infeasible,
+}
+
+/// Pick a BE target for `rid` and commit it — the one BE placement path
+/// shared by the central dispatcher and CERES-mode (`local_only`)
+/// masters, which see only their own cluster's candidates. Pays the
+/// policy its §5.3.1 reward for the previous decision first; queue
+/// handling of an uncommitted request is the caller's.
+fn place_be(
     ctx: &mut SystemCtx<'_>,
-    next_demand: &Resources,
-    next_nodes: &[CandidateNode],
-    _now: SimTime,
-) {
+    rid: RequestId,
+    from: ClusterId,
+    local_only: bool,
+    failover_delay: SimTime,
+    sched: &mut Sched<'_>,
+) -> BePlacement {
+    let now = sched.now();
+    let Some(req) = ctx.lifecycle.requests.get(&rid) else {
+        return BePlacement::Gone;
+    };
+    let service = req.service;
+    let demand = req.demand;
+    let payload = ctx.catalog.get(service).payload_kib;
+    let global = {
+        let views = &mut ctx.dispatch.views;
+        let inp = view_inputs!(ctx);
+        views.candidates(&inp, service, ViewScope::BeGlobal)
+    };
+    let local: Vec<CandidateNode>;
+    let candidates: &[CandidateNode] = if local_only {
+        local = global
+            .iter()
+            .filter(|c| c.cluster == from)
+            .cloned()
+            .collect();
+        &local
+    } else {
+        &global
+    };
+    pay_be_feedback(ctx, &demand, candidates);
+    let Some((node, granted)) = ctx.dispatch.be.schedule_sized(&demand, candidates) else {
+        return BePlacement::Infeasible;
+    };
+    if ctx.fault.is_down(node) {
+        ctx.fault.summary.down_node_dispatches += 1;
+        return BePlacement::DownNode;
+    }
+    if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
+        r.mark_dispatched(node);
+        // continuous-action policies may grant less than the nominal
+        // demand; the grant is what the node reserves and the pod gets
+        r.demand = granted;
+        ctx.lifecycle.reserved.add(node, granted);
+    }
+    ctx.dispatch.be_pending_feedback = Some(node);
+    ctx.emit(now, || TraceEvent::DispatchDecision {
+        request: rid,
+        target: node,
+        lane: TraceLane::Be,
+    });
+    let target_cluster = cluster_of_node(ctx, node);
+    // A BE placement on the cloud tier ships its payload across the
+    // metered edge→cloud boundary.
+    if Some(target_cluster) == ctx.migration.cloud {
+        crate::migration::charge_egress(ctx, now, payload);
+    }
+    let delay = failover_delay + ctx.topology.transfer_time(from, target_cluster, payload);
+    sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
+    BePlacement::Placed
+}
+
+/// Pay the §5.3.1 reward for the previous BE decision.
+fn pay_be_feedback(ctx: &mut SystemCtx<'_>, next_demand: &Resources, next_nodes: &[CandidateNode]) {
     if let Some(prev_node) = ctx.dispatch.be_pending_feedback.take() {
         let node = &ctx.nodes[prev_node.index()];
         let (_, be_held) = node.demand_usage();
@@ -442,7 +480,7 @@ pub(crate) fn pay_be_feedback(
         ctx.dispatch.be_completed_frac = 0.0;
         // r = r_short + η·r_long (§5.3.1; η = 1 in the paper)
         let reward = r_short + ctx.cfg.ablations.dcg_eta * r_long;
-        ctx.dispatch.be.feedback_be(reward, next_demand, next_nodes);
+        ctx.dispatch.be.feedback(reward, next_demand, next_nodes);
     }
 }
 
@@ -486,48 +524,10 @@ pub(crate) fn on_be_dispatch(ctx: &mut SystemCtx<'_>, sched: &mut Sched<'_>) {
             break;
         }
         budget -= 1;
-        let Some(req) = ctx.lifecycle.requests.get(&rid) else {
-            continue;
-        };
-        let service = req.service;
-        let demand = req.demand;
-        let payload = ctx.catalog.get(service).payload_kib;
-        let candidates: Arc<Vec<CandidateNode>> = {
-            let views = &mut ctx.dispatch.views;
-            let inp = view_inputs!(ctx);
-            views.candidates(&inp, service, ViewScope::BeGlobal)
-        };
-        pay_be_feedback(ctx, &demand, &candidates, now);
-        match ctx.dispatch.be.pick_be_sized(&demand, &candidates) {
-            Some((node, _)) if ctx.fault.is_down(node) => {
-                ctx.fault.summary.down_node_dispatches += 1;
-                deferred.push_back(rid);
-            }
-            Some((node, granted)) => {
-                if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
-                    r.mark_dispatched(node);
-                    // sized grant from a continuous-action policy (equals
-                    // the nominal demand for discrete policies)
-                    r.demand = granted;
-                    ctx.lifecycle.reserved.add(node, granted);
-                }
-                ctx.dispatch.be_pending_feedback = Some(node);
-                ctx.emit(now, || TraceEvent::DispatchDecision {
-                    request: rid,
-                    target: node,
-                    lane: TraceLane::Be,
-                });
-                let target_cluster = cluster_of_node(ctx, node);
-                // A BE placement on the cloud tier ships its payload
-                // across the metered edge→cloud boundary.
-                if Some(target_cluster) == ctx.migration.cloud {
-                    crate::migration::charge_egress(ctx, now, payload);
-                }
-                let delay =
-                    failover_delay + ctx.topology.transfer_time(central, target_cluster, payload);
-                sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
-            }
-            None => {
+        match place_be(ctx, rid, central, false, failover_delay, sched) {
+            BePlacement::Placed | BePlacement::Gone => {}
+            BePlacement::DownNode => deferred.push_back(rid),
+            BePlacement::Infeasible => {
                 // nothing feasible system-wide right now: try again
                 // next round (Alg. 3's reschedule path)
                 deferred.push_back(rid);

@@ -176,6 +176,25 @@ impl A2cAgent {
         self.critic.forward_inference(&pooled).get(0, 0)
     }
 
+    /// Reward the pending decision: A2C stores only (state, action,
+    /// reward), so the next state an [`Agent::observe`] caller passes is
+    /// never read, and callers that hold no next state can skip
+    /// building it. Trains once `train_interval` transitions are stored.
+    pub fn reward(&mut self, reward: f32, done: bool) {
+        if let Some((graph, mask, action)) = self.pending.take() {
+            self.buffer.push(Transition {
+                graph,
+                mask,
+                action,
+                reward,
+                done,
+            });
+            if self.buffer.len() >= self.cfg.train_interval {
+                self.train();
+            }
+        }
+    }
+
     fn train(&mut self) {
         if self.buffer.is_empty() {
             return;
@@ -271,18 +290,7 @@ impl Agent for A2cAgent {
         _next_mask: &[bool],
         done: bool,
     ) {
-        if let Some((graph, mask, action)) = self.pending.take() {
-            self.buffer.push(Transition {
-                graph,
-                mask,
-                action,
-                reward,
-                done,
-            });
-            if self.buffer.len() >= self.cfg.train_interval {
-                self.train();
-            }
-        }
+        self.reward(reward, done);
     }
 }
 

@@ -276,8 +276,8 @@ impl DssLc {
     }
 
     /// Alg. 2 with all state explicit, shared by the sequential
-    /// [`Self::plan`] and the parallel [`Self::plan_many`] /
-    /// [`plan_masters`] paths so they cannot drift.
+    /// [`Self::plan`] and the parallel [`Self::plan_many`] paths so they
+    /// cannot drift.
     fn plan_with(
         scratch: &mut DispatchScratch,
         rng: &mut SimRng,
@@ -366,45 +366,6 @@ impl DssLc {
         plan.unrouted = scratch.order[cursor..].to_vec();
         plan
     }
-}
-
-/// The paper's full DSS-LC fan-out — "for each master node do in
-/// parallel / for each type k do in parallel" (§5.2) — over every
-/// (master, commodity) pair at once: `batches[m]` holds master `m`'s
-/// per-type batches, solved by `scheds[m]`.
-///
-/// Per-batch ρ(·) streams are forked sequentially in (master, type)
-/// order before the fan-out and plans are merged back in the same
-/// order, so the result is bit-identical for every thread count. Each
-/// worker reuses one `DispatchScratch` across its chunk.
-pub fn plan_masters(
-    scheds: &mut [DssLc],
-    batches: &[Vec<TypeBatch>],
-    pool: &Pool,
-) -> Vec<Vec<LcPlan>> {
-    assert_eq!(scheds.len(), batches.len(), "one scheduler per master");
-    let work: Vec<(SimRng, bool, &TypeBatch)> = scheds
-        .iter_mut()
-        .zip(batches)
-        .flat_map(|(s, bs)| {
-            bs.iter()
-                .map(|b| (s.rng.fork(), s.overflow_routing, b))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let flat = pool.par_map_collect_with(
-        &work,
-        DispatchScratch::default,
-        |scratch, _, (rng, overflow_routing, batch)| {
-            let mut rng = rng.clone();
-            DssLc::plan_with(scratch, &mut rng, *overflow_routing, batch)
-        },
-    );
-    let mut flat = flat.into_iter();
-    batches
-        .iter()
-        .map(|bs| (&mut flat).take(bs.len()).collect())
-        .collect()
 }
 
 impl LcScheduler for DssLc {
@@ -708,24 +669,6 @@ mod tests {
         }
         let single = batch(4, vec![cand(1, 9, 2)]);
         assert_eq!(a.plan(&single), b.plan(&single));
-    }
-
-    /// The full (master, commodity) fan-out matches the per-master
-    /// `plan_many` results at every thread count.
-    #[test]
-    fn plan_masters_is_thread_count_invariant() {
-        let per_master: Vec<Vec<TypeBatch>> =
-            vec![batch_bag(4), batch_bag(9), Vec::new(), batch_bag(1)];
-        let reference: Vec<Vec<LcPlan>> = per_master
-            .iter()
-            .enumerate()
-            .map(|(m, bs)| DssLc::new(m as u64).plan_many(bs, &Pool::single()))
-            .collect();
-        for t in [1usize, 2, 4, 8] {
-            let mut scheds: Vec<DssLc> = (0..per_master.len() as u64).map(DssLc::new).collect();
-            let got = plan_masters(&mut scheds, &per_master, &Pool::new(t));
-            assert_eq!(got, reference, "threads = {t}");
-        }
     }
 
     #[test]

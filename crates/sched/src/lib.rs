@@ -21,16 +21,18 @@
 //! * [`td3_be`] — a TD3-style continuous-action BE scheduler: the agent
 //!   emits per-candidate CPU/memory grant fractions and placement + grant
 //!   sizing land together through [`BeScheduler::schedule_sized`].
-//! * [`backend`] — the unified [`SchedulerBackend`] surface the system's
-//!   dispatch stage consumes; [`LcBackend`]/[`BeBackend`] lift the narrow
-//!   per-role traits so every policy plugs in uniformly.
+//! * [`view`] — the candidate-node view both dispatchers read.
+//!
+//! The dispatch stage calls the two lane traits directly, one per
+//! dispatcher role: [`LcScheduler`] plans a master's whole round of
+//! per-type batches (Alg. 2's shape); [`BeScheduler`] picks one node per
+//! BE request and learns from the delayed reward (Alg. 3's shape).
 //!
 //! The schedulers are pure decision engines: they consume [`view`]
 //! snapshots prepared by the system layer and return placements; they
 //! never touch nodes directly. That is exactly the paper's architecture —
 //! dispatchers read the state storage, not the cluster.
 
-pub mod backend;
 pub mod baselines;
 pub mod dcg_be;
 pub mod dss_lc;
@@ -39,10 +41,9 @@ pub mod snap_impls;
 pub mod td3_be;
 pub mod view;
 
-pub use backend::{BeBackend, LcBackend, SchedulerBackend};
 pub use baselines::{KsNative, KubeDsm, LoadGreedy, Scoring};
 pub use dcg_be::{BeScheduler, DcgBe, DcgBeConfig, GnnSacBe, GreedyBe, RoundRobinBe};
-pub use dss_lc::{plan_masters, DssLc, LcPlan};
+pub use dss_lc::{DssLc, LcPlan};
 pub use migrate::{MigratablePod, MigrationCandidate, MigrationDecision, MigrationPlanner};
 pub use td3_be::{Td3Be, Td3BeConfig};
 pub use view::{CandidateNode, LcScheduler, LinkObservation, NodeObservation, TypeBatch};

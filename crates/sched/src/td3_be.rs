@@ -47,7 +47,7 @@ impl Default for Td3BeConfig {
     }
 }
 
-/// TD3 continuous-action BE scheduler backend.
+/// TD3 continuous-action BE scheduler.
 pub struct Td3Be {
     agent: Td3Agent,
     min_frac: f32,
